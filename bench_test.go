@@ -646,6 +646,30 @@ func BenchmarkRankerReuse(b *testing.B) {
 	})
 }
 
+// BenchmarkDoTopK is one serving-scale request through a warm Ranker:
+// n = 1e5 candidates at top_k = 10, the default algorithm and noise.
+// The draws are truncated, so the instance build — ID and group
+// validation, the constraint table and the weakly fair central ranking
+// — carries the cost; CI's benchdiff gate tracks it.
+func BenchmarkDoTopK(b *testing.B) {
+	pool := servingPool(100000)
+	r, err := fairrank.NewRanker(fairrank.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.Run("n=1e5", func(b *testing.B) {
+		b.ReportAllocs()
+		k := 10
+		for i := 0; i < b.N; i++ {
+			seed := int64(i)
+			if _, err := r.Do(ctx, fairrank.Request{Candidates: pool, TopK: &k, Seed: &seed}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkPlackettLuceBest covers the hot path of the registry's
 // pl-best algorithm — the engine-managed best-of-m loop drawing from the
 // Plackett–Luce mechanism (Gumbel-max sampling, O(n log n) per draw) —

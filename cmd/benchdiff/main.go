@@ -13,7 +13,7 @@
 //
 // Regenerate the baseline after a deliberate perf change:
 //
-//	go test -json -run '^$' -bench '<tracked>' -benchtime=10x . \
+//	go test -json -run '^$' -bench '<tracked>' -benchtime=10x . ./internal/service \
 //	  | go run ./cmd/benchdiff -emit > BENCH_baseline.json
 //
 // Gate a PR run against it:
@@ -40,11 +40,12 @@ import (
 	"strings"
 )
 
-// defaultTracked selects the draw-path micro benchmarks: large fixed-n
-// samplers with stable per-op cost, safe to threshold even at smoke
-// benchtimes. The figure/experiment benchmarks are deliberately
-// untracked — their cost moves with experiment configs.
-const defaultTracked = `^Benchmark(TopKTruncated|PLTopKTruncated|GMallowsTopKTruncated)/`
+// defaultTracked selects the draw-path micro benchmarks (large fixed-n
+// samplers) plus the n=1e5 request decode and top-k instance build:
+// stable per-op costs, safe to threshold even at smoke benchtimes. The
+// figure/experiment benchmarks are deliberately untracked — their cost
+// moves with experiment configs.
+const defaultTracked = `^Benchmark(TopKTruncated|PLTopKTruncated|GMallowsTopKTruncated|DoTopK|DecodeRankRequest)/`
 
 // result is one benchmark line, in both the compact baseline format and
 // the internal representation of parsed test2json streams.

@@ -3,7 +3,9 @@ package fairrank
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/fairdp"
@@ -256,8 +258,19 @@ func buildInstance(candidates []Candidate, cfg Config) (rankers.Instance, error)
 		return rankers.Instance{}, fmt.Errorf("fairrank: no candidates")
 	}
 	seen := make(map[string]bool, len(candidates))
+	// groupIDs numbers the group names in first-seen order until they
+	// are sorted below; assign holds those first-seen numbers meanwhile.
 	groupIDs := map[string]int{}
-	var groupNames []string
+	group := func(name string) int {
+		id, ok := groupIDs[name]
+		if !ok {
+			id = len(groupIDs)
+			groupIDs[name] = id
+		}
+		return id
+	}
+	assign := make([]int, len(candidates))
+	scores := make(quality.Scores, len(candidates))
 	for i, c := range candidates {
 		if c.ID == "" {
 			return rankers.Instance{}, fmt.Errorf("fairrank: candidate %d has empty ID", i)
@@ -274,10 +287,8 @@ func buildInstance(candidates []Candidate, cfg Config) (rankers.Instance, error)
 		if c.Group == "" {
 			return rankers.Instance{}, fmt.Errorf("fairrank: candidate %q has empty Group", c.ID)
 		}
-		if _, ok := groupIDs[c.Group]; !ok {
-			groupIDs[c.Group] = 0
-			groupNames = append(groupNames, c.Group)
-		}
+		assign[i] = group(c.Group)
+		scores[i] = c.Score
 		if c.Membership != nil {
 			var sum float64
 			for name, p := range c.Membership {
@@ -288,10 +299,7 @@ func buildInstance(candidates []Candidate, cfg Config) (rankers.Instance, error)
 					return rankers.Instance{}, fmt.Errorf("fairrank: candidate %q membership for group %q is %v, want in [0,1]", c.ID, name, p)
 				}
 				sum += p
-				if _, ok := groupIDs[name]; !ok {
-					groupIDs[name] = 0
-					groupNames = append(groupNames, name)
-				}
+				group(name)
 			}
 			// Probabilities are taken as stated, never renormalized: a
 			// wrong sum is a caller bug, not a scaling choice.
@@ -300,15 +308,14 @@ func buildInstance(candidates []Candidate, cfg Config) (rankers.Instance, error)
 			}
 		}
 	}
-	sort.Strings(groupNames)
+	groupNames := slices.Sorted(maps.Keys(groupIDs))
+	remap := make([]int, len(groupNames))
 	for i, name := range groupNames {
+		remap[groupIDs[name]] = i
 		groupIDs[name] = i
 	}
-	assign := make([]int, len(candidates))
-	scores := make(quality.Scores, len(candidates))
-	for i, c := range candidates {
-		assign[i] = groupIDs[c.Group]
-		scores[i] = c.Score
+	for i, id := range assign {
+		assign[i] = remap[id]
 	}
 	gr, err := fairness.NewGroups(assign, len(groupNames))
 	if err != nil {

@@ -77,22 +77,25 @@ type Bounds struct {
 	Upper [][]int
 }
 
-// Table materializes the bounds for prefixes of length 1…k.
+// Table materializes the bounds for prefixes of length 1…k. The rows of
+// each side are carved from one backing array (capacity-capped, so an
+// append to a row cannot spill into the next).
 func (c *Constraints) Table(k int) *Bounds {
 	g := len(c.Alpha)
 	b := &Bounds{
 		Lower: make([][]int, k),
 		Upper: make([][]int, k),
 	}
+	lo := make([]int, k*g)
+	hi := make([]int, k*g)
 	for ell := 1; ell <= k; ell++ {
-		lo := make([]int, g)
-		hi := make([]int, g)
+		row := (ell - 1) * g
 		for gid := 0; gid < g; gid++ {
-			lo[gid] = c.LowerAt(gid, ell)
-			hi[gid] = c.UpperAt(gid, ell)
+			lo[row+gid] = c.LowerAt(gid, ell)
+			hi[row+gid] = c.UpperAt(gid, ell)
 		}
-		b.Lower[ell-1] = lo
-		b.Upper[ell-1] = hi
+		b.Lower[ell-1] = lo[row : row+g : row+g]
+		b.Upper[ell-1] = hi[row : row+g : row+g]
 	}
 	return b
 }

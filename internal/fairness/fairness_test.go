@@ -3,6 +3,7 @@ package fairness
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/perm"
@@ -130,6 +131,13 @@ func TestBoundsTable(t *testing.T) {
 					i+1, b.Lower[i], b.Upper[i], wantLo[i], wantHi[i])
 			}
 		}
+	}
+	// Rows share one backing array per side; growing one must not
+	// write into the next.
+	_ = append(b.Lower[0], 9)
+	_ = append(b.Upper[0], 9)
+	if b.Lower[1][0] != wantLo[1][0] || b.Upper[1][0] != wantHi[1][0] {
+		t.Fatalf("append to row 1 overwrote row 2: lo=%v hi=%v", b.Lower[1], b.Upper[1])
 	}
 }
 
@@ -466,4 +474,82 @@ func TestWeaklyFairRankingRandomized(t *testing.T) {
 			t.Fatalf("claimed weakly fair but is not: d=%d g=%d k=%d p=%v", d, g, k, p)
 		}
 	}
+}
+
+// TestWeaklyFairRankingTieOrder pins the central ranking's tie order on
+// heavily tied scores (signed zeros and infinities included): the
+// (score desc, index asc) sort must reproduce, position for position,
+// the stable score sort the construction was first written with.
+func TestWeaklyFairRankingTieOrder(t *testing.T) {
+	levels := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.5, 1, math.Inf(1)}
+	rng := rand.New(rand.NewSource(31))
+	checked := 0
+	for trial := 0; trial < 300; trial++ {
+		d := 2 + rng.Intn(40)
+		g := 1 + rng.Intn(3)
+		assign := make([]int, d)
+		scores := make([]float64, d)
+		for i := range assign {
+			assign[i] = rng.Intn(g)
+			scores[i] = levels[rng.Intn(len(levels))]
+		}
+		gr, err := NewGroups(assign, g)
+		if err != nil {
+			continue // a group drew no members
+		}
+		c, err := Proportional(gr, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 1 + rng.Intn(d)
+		got, err := WeaklyFairRanking(scores, gr, c, k)
+		if err != nil {
+			continue
+		}
+		want := stableWeaklyFair(scores, gr, c, k)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("scores %v groups %v k=%d:\n got  %v\n want %v", scores, assign, k, got, want)
+			}
+		}
+		checked++
+	}
+	if checked < 100 {
+		t.Fatalf("only %d feasible instances checked", checked)
+	}
+}
+
+// stableWeaklyFair is WeaklyFairRanking's construction over a stable
+// score sort, for instances the real function accepted.
+func stableWeaklyFair(scores []float64, gr *Groups, c *Constraints, k int) perm.Perm {
+	byScore := perm.Identity(len(scores))
+	sort.SliceStable(byScore, func(a, b int) bool { return scores[byScore[a]] > scores[byScore[b]] })
+	sizes := gr.Sizes()
+	selected := make([]bool, len(scores))
+	taken := make([]int, gr.NumGroups())
+	picked := 0
+	for _, item := range byScore {
+		if gid := gr.Of(item); taken[gid] < c.LowerAt(gid, k) {
+			selected[item] = true
+			taken[gid]++
+			picked++
+		}
+	}
+	for _, item := range byScore {
+		gid := gr.Of(item)
+		if picked < k && !selected[item] && taken[gid] < min(c.UpperAt(gid, k), sizes[gid]) {
+			selected[item] = true
+			taken[gid]++
+			picked++
+		}
+	}
+	out := make(perm.Perm, 0, len(scores))
+	for _, first := range []bool{true, false} {
+		for _, item := range byScore {
+			if selected[item] == first {
+				out = append(out, item)
+			}
+		}
+	}
+	return out
 }

@@ -2,7 +2,7 @@ package fairness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/perm"
 )
@@ -57,9 +57,18 @@ func WeaklyFairRanking(scores []float64, gr *Groups, c *Constraints, k int) (per
 		return nil, fmt.Errorf("fairness: weak %d-fairness upper bounds admit only %d < %d items", k, sumCap, k)
 	}
 
-	// Items by non-increasing score, id-ascending on ties.
+	// Items by non-increasing score, id-ascending on ties: a total order
+	// on NaN-free scores, so the unstable sort is deterministic.
 	byScore := perm.Identity(d)
-	sort.SliceStable(byScore, func(a, b int) bool { return scores[byScore[a]] > scores[byScore[b]] })
+	slices.SortFunc(byScore, func(a, b int) int {
+		switch sa, sb := scores[a], scores[b]; {
+		case sa > sb:
+			return -1
+		case sa < sb:
+			return 1
+		}
+		return a - b
+	})
 
 	selected := make([]bool, d)
 	taken := make([]int, g)

@@ -202,37 +202,6 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// shardProbe is the minimal decode of a rank request: exactly the
-// fields of the backends' ranker-cache key, so requests sharing one
-// reusable engine land on one backend.
-type shardProbe struct {
-	Algorithm string  `json:"algorithm"`
-	Central   string  `json:"central"`
-	WeakK     int     `json:"weak_k"`
-	Sigma     float64 `json:"sigma"`
-}
-
-type batchShardProbe struct {
-	Requests []shardProbe `json:"requests"`
-}
-
-// shardKey derives the routing key from a request body: the
-// engine-shaping fields of the request (a batch is keyed by its first
-// entry — batches mixing engine configurations still rank correctly,
-// they just cross shards). Undecodable bodies key to the default
-// shard; the owning backend rejects them with the exact 400 a direct
-// client would get.
-func shardKey(body []byte) string {
-	var p shardProbe
-	var b batchShardProbe
-	if err := json.Unmarshal(body, &b); err == nil && len(b.Requests) > 0 {
-		p = b.Requests[0]
-	} else {
-		_ = json.Unmarshal(body, &p)
-	}
-	return p.Algorithm + "|" + p.Central + "|" + strconv.Itoa(p.WeakK) + "|" + strconv.FormatFloat(p.Sigma, 'g', -1, 64)
-}
-
 // upstreamResult is one forwarding attempt's outcome: a transport
 // error, or a fully buffered response. Buffering is what makes retry
 // safe — the client never sees bytes from an attempt that dies
@@ -251,18 +220,11 @@ type transform func(b *Backend, res *upstreamResult)
 // forwardSharded reads and bounds the body, derives the shard key, and
 // forwards.
 func (g *Gateway) forwardSharded(w http.ResponseWriter, r *http.Request, singleFlight bool, tf transform) {
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, map[string]string{"error": "reading request body: " + err.Error()})
+	body, ok := service.ReadBody(w, r, g.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
-	g.forward(w, r, shardKey(body), r.Method, r.URL.Path, body, singleFlight, tf)
+	g.forward(w, r, service.ShardKey(body), r.Method, r.URL.Path, body, singleFlight, tf)
 }
 
 // forward runs the retrying forwarding loop: pick a backend (shard

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -450,6 +451,26 @@ func TestGatewayUnroutable(t *testing.T) {
 	}
 }
 
+// TestGatewayBodyTooLarge pins that an over-limit body is refused at
+// the gateway with the 413 fairrankd gives for it, and never forwarded.
+func TestGatewayBodyTooLarge(t *testing.T) {
+	var hits atomic.Int64
+	_, gsrv := startFakeFleet(t, 1, func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.WriteHeader(http.StatusOK)
+	}, func(c *Config) { c.MaxBodyBytes = 64 })
+	resp, payload := do(t, http.MethodPost, gsrv.URL+"/v1/rank", rankBody(1, 0))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if want := `{"error":"reading request body: http: request body too large"}` + "\n"; string(payload) != want {
+		t.Fatalf("body %q, want %q", payload, want)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("%d over-limit requests reached a backend", n)
+	}
+}
+
 // TestGatewayMetrics pins the observability surface after real
 // traffic: route counters, per-backend attempt counts, the picker
 // split, and the live-aggregated fleet engine view.
@@ -577,4 +598,76 @@ func TestGatewayConcurrentTrafficWithBackendKill(t *testing.T) {
 		t.Fatalf("%d client-visible failures during the backend kill, want 0", failures.Load())
 	}
 	waitBackendState(t, g.Backends()[2], StateDegraded)
+}
+
+// oracleShardKey is the gateway's original two-pass shard probe, kept
+// as the reference service.ShardKey must match on every body.
+func oracleShardKey(body []byte) string {
+	type shardProbe struct {
+		Algorithm string  `json:"algorithm"`
+		Central   string  `json:"central"`
+		WeakK     int     `json:"weak_k"`
+		Sigma     float64 `json:"sigma"`
+	}
+	var p shardProbe
+	var b struct {
+		Requests []shardProbe `json:"requests"`
+	}
+	if err := json.Unmarshal(body, &b); err == nil && len(b.Requests) > 0 {
+		p = b.Requests[0]
+	} else {
+		_ = json.Unmarshal(body, &p)
+	}
+	return p.Algorithm + "|" + p.Central + "|" + strconv.Itoa(p.WeakK) + "|" + strconv.FormatFloat(p.Sigma, 'g', -1, 64)
+}
+
+var shardKeySeeds = []string{
+	rankBody(1, 0.25),
+	`{"candidates":[{"id":"a","score":1,"group":"x","attrs":{"k":"v"}}],"algorithm":"fair-dp","central":"score","weak_k":3,"sigma":1e-3}`,
+	`{"requests":[{"algorithm":"a","sigma":2},{"algorithm":"b"}]}`,
+	`{"requests":[{"algorithm":"a"},{"weak_k":"x"}]}`,
+	`{"requests":[{"algorithm":"a"}],"algorithm":5}`,
+	`{"requests":[],"algorithm":"top"}`,
+	`{"requests":null,"central":"c"}`,
+	`{"requests":[null,{"algorithm":"b"}]}`,
+	`{"requests":[1]}`,
+	`{"requests":5,"algorithm":"a"}`,
+	`{"requests":[{"algorithm":"a"}],"requests":[{"central":"c"}]}`,
+	`{"Requests":[{"Algorithm":"a"}]}`,
+	`{"algorithm":"a","weak_k":"x"}`,
+	`{"algorithm":"a","weak_k":1.5,"sigma":1e400}`,
+	`{"algorithm":"a","central":"é","sigma":-0}`,
+	`{"algorithm":null,"weak_k":null,"sigma":null}`,
+	`{"algorithm":"a"} trailing`,
+	`{"algorithm":"a"`,
+	`null`,
+	`[]`,
+	``,
+	"{\"algorithm\":\"\xff\"}",
+	`{"x":` + strings.Repeat("[", 700) + strings.Repeat("]", 700) + `,"algorithm":"deep"}`,
+}
+
+func TestShardKeyMatchesOracle(t *testing.T) {
+	for _, body := range shardKeySeeds {
+		if got, want := service.ShardKey([]byte(body)), oracleShardKey([]byte(body)); got != want {
+			t.Errorf("body %.80q: key %q, want %q", body, got, want)
+		}
+	}
+	if got := service.ShardKey([]byte(`{"requests":[{"algorithm":"a","sigma":2}]}`)); got != "a||0|2" {
+		t.Errorf("batch key %q, want %q", got, "a||0|2")
+	}
+	if got := service.ShardKey([]byte(`not json`)); got != "||0|0" {
+		t.Errorf("undecodable body keyed %q, want the default key", got)
+	}
+}
+
+func FuzzShardKey(f *testing.F) {
+	for _, body := range shardKeySeeds {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if got, want := service.ShardKey(body), oracleShardKey(body); got != want {
+			t.Fatalf("body %q: key %q, want %q", body, got, want)
+		}
+	})
 }

@@ -39,7 +39,9 @@ const maxBodyBytes = 32 << 20
 // served by GET /v1/metrics.
 //
 // Error mapping: request-caused failures (ErrInvalid, malformed JSON)
-// return 400 with a JSON {"error": "..."} body; unknown job IDs 404;
+// return 400 with a JSON {"error": "..."} body; a body over the 32 MiB
+// limit 413 with the gateway's "reading request body: ..." message;
+// unknown job IDs 404;
 // deleting a finished job 409; a saturated admission queue or job
 // store 429 with Retry-After; a
 // draining service 503 (new jobs) with Retry-After; a client
@@ -53,7 +55,7 @@ func NewHandler(s *Service) http.Handler {
 	}
 	route("POST /v1/rank", func(w http.ResponseWriter, r *http.Request) {
 		var req RankRequest
-		if !decode(w, r, &req) {
+		if !decode(w, r, &req, s.cfg.MaxCandidates, decodeRankRequest) {
 			return
 		}
 		resp, err := s.Rank(r.Context(), &req)
@@ -65,7 +67,7 @@ func NewHandler(s *Service) http.Handler {
 	})
 	route("POST /v1/rank/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
-		if !decode(w, r, &req) {
+		if !decode(w, r, &req, s.cfg.MaxCandidates, decodeBatchRequest) {
 			return
 		}
 		resp, err := s.RankBatch(r.Context(), &req)
@@ -77,7 +79,7 @@ func NewHandler(s *Service) http.Handler {
 	})
 	route("POST /v1/jobs/rank", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
-		if !decode(w, r, &req) {
+		if !decode(w, r, &req, s.cfg.MaxCandidates, decodeBatchRequest) {
 			return
 		}
 		resp, err := s.SubmitJob(&req)
@@ -144,9 +146,14 @@ func NewHandler(s *Service) http.Handler {
 	)
 }
 
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
+// decode reads the bounded body (see ReadBody) and decodes it into
+// dst; a body that does not decode is 400 "malformed JSON".
+func decode[T any](w http.ResponseWriter, r *http.Request, dst *T, maxCandidates int, dec func([]byte, *T, int) error) bool {
+	body, ok := ReadBody(w, r, maxBodyBytes)
+	if !ok {
+		return false
+	}
+	if err := dec(body, dst, maxCandidates); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed JSON: " + err.Error()})
 		return false
 	}

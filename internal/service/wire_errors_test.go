@@ -171,6 +171,23 @@ func TestWireMalformedJSONExactStatus(t *testing.T) {
 	}
 }
 
+// TestWireBodyTooLarge pins the over-limit contract: a body past the
+// 32 MiB bound is 413 with the message the gateway gives for the same
+// body, on every route that reads one.
+func TestWireBodyTooLarge(t *testing.T) {
+	body := `{"candidates":[` + strings.Repeat(" ", maxBodyBytes) + `]}`
+	want := wantErrorBody(t, "reading request body: http: request body too large")
+	for _, path := range []string{"/v1/rank", "/v1/rank/batch", "/v1/jobs/rank"} {
+		rec := serve(t, http.MethodPost, path, body)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, rec.Code)
+		}
+		if got := rec.Body.String(); got != want {
+			t.Errorf("%s: body = %q, want exactly %q", path, got, want)
+		}
+	}
+}
+
 // TestWireContextStatusCodes pins the cancellation-vs-deadline wire
 // contract: a client that went away gets nginx's 499, while a deadline
 // that expired server-side is a gateway timeout, 504 — they are
